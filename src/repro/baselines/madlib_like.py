@@ -122,7 +122,7 @@ class MadlibLikeTrainer:
         c0, s0 = totals(self.wide)
         root = Node(next(self._ids), 0, prediction=(s0 / c0 if c0 else 0.0))
         tree = DecisionTree(root)
-        sp = best(self.wide, c0, s0)
+        sp = best(self.wide, c0, s0) if p.splittable(1, 0, c0) else None
         pq: List[Tuple[float, int, Node, DataFrame, float, float, Split]] = []
         counter = itertools.count()
         if sp is not None:
@@ -130,8 +130,7 @@ class MadlibLikeTrainer:
         n_leaves = 1
         while pq and n_leaves < p.max_leaves:
             _, _, node, df, c_t, s_t, split = heapq.heappop(pq)
-            if node.depth + 1 > p.max_depth:
-                continue
+            n_leaves += 1
             node.split_feature = split.feature
             node.split_value = split.value
             node.split_numeric = split.numeric
@@ -150,14 +149,13 @@ class MadlibLikeTrainer:
                     node.left = child
                 else:
                     node.right = child
-                if child.depth < p.max_depth and c > 2 * p.min_child:
+                if p.splittable(n_leaves, child.depth, c):
                     csp = best(cdf, c, s)
                     if csp is not None:
                         heapq.heappush(
                             pq, (-csp.gain, next(counter), child, cdf, c, s, csp)
                         )
             node.prediction = None
-            n_leaves += 1
         return tree
 
     def close(self) -> None:

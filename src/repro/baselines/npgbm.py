@@ -93,7 +93,7 @@ class NpTreeTrainer:
         c0, s0 = float(len(idx0)), float(target.sum())
         root = Node(next(self._ids), 0, prediction=(s0 / c0 if c0 else 0.0))
         tree = DecisionTree(root)
-        sp = self._best(target, idx0, c0, s0, feats)
+        sp = self._best(target, idx0, c0, s0, feats) if p.splittable(1, 0, c0) else None
         pq: List[Tuple[float, int, Node, np.ndarray, float, float, Split]] = []
         counter = itertools.count()
         if sp is not None:
@@ -101,8 +101,7 @@ class NpTreeTrainer:
         n_leaves = 1
         while pq and n_leaves < p.max_leaves:
             _, _, node, idx, c_t, s_t, split = heapq.heappop(pq)
-            if node.depth + 1 > p.max_depth:
-                continue
+            n_leaves += 1
             node.split_feature = split.feature
             node.split_value = split.value
             node.split_numeric = split.numeric
@@ -123,14 +122,13 @@ class NpTreeTrainer:
                     node.left = child
                 else:
                     node.right = child
-                if child.depth < p.max_depth and c > 2 * p.min_child:
+                if p.splittable(n_leaves, child.depth, c):
                     csp = self._best(target, cidx, c, s, feats)
                     if csp is not None:
                         heapq.heappush(
                             pq, (-csp.gain, next(counter), child, cidx, c, s, csp)
                         )
             node.prediction = None
-            n_leaves += 1
         return tree
 
 

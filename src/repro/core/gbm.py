@@ -27,7 +27,11 @@ from typing import List, Optional, Sequence
 import pyspark.sql.functions as F
 
 from .join_graph import JoinGraph
-from .residual import GalaxyAnnotationUpdater, SnowflakeResidualUpdater
+from .residual import (
+    GalaxyAnnotationUpdater,
+    SnowflakeResidualUpdater,
+    single_key_path,
+)
 from .semiring import PREFIX, VarianceSemiring
 from .star_trainer import StarTreeTrainer
 from .trainer import FactorizedTreeTrainer, TrainParams
@@ -68,6 +72,12 @@ class GradientBoosting:
         fast: bool = True,
     ) -> None:
         graph.validate_tree()
+        # fail here rather than after the first tree: updates push leaf
+        # predicates down each feature relation's path to its cluster fact
+        for fact, members in graph.clusters().items():
+            for rel in sorted(members):
+                if graph.relations[rel].features:
+                    single_key_path(graph, rel, fact)
         self.graph = graph
         self.n_iters = n_iters
         self.lr = learning_rate

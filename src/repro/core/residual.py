@@ -44,6 +44,31 @@ from .semiring import PREFIX
 from .tree import DecisionTree, Node, Pred
 
 
+def single_key_path(
+    graph: JoinGraph, relation: str, target: str
+) -> List[Tuple[str, str]]:
+    """The hops ``(relation_i, key_i)`` of the path relation → … → target.
+
+    ``key_i`` is the one column joining ``relation_i`` to the next
+    relation on the path. Residual updates push leaf predicates down
+    this path as key filters, which handles single-column join keys
+    only; a multi-column edge raises ``NotImplementedError``.
+    """
+    path = graph.path(relation, target)
+    assert path[0] == relation and path[-1] == target
+    hops = []
+    for cur, nxt in zip(path, path[1:]):
+        edge = next(e for e in graph.edges if e.touches(cur) and e.touches(nxt))
+        if len(edge.keys) != 1:
+            raise NotImplementedError(
+                f"multi-column join keys {edge.keys} on edge {cur}-{nxt} of the "
+                f"semi-join path {relation!r} -> {target!r}; residual updates "
+                "support single-column keys"
+            )
+        hops.append((cur, edge.keys[0]))
+    return hops
+
+
 def push_keys_to(
     graph: JoinGraph,
     target: str,
@@ -64,8 +89,9 @@ def push_keys_to(
     copies (dimensions are small by assumption); hops through those run
     vectorized on the driver instead of issuing collect jobs.
     """
-    path = graph.path(relation, target)
-    assert path[0] == relation and path[-1] == target
+    hops = single_key_path(graph, relation, target)
+    # relation == target: predicates already reference target's columns
+    assert hops, "relation != target, so the path has at least one hop"
 
     def filtered_keys(name: str, key_in, key_vals, out_key: str) -> List:
         """σ over relation ``name`` (pred filter and/or key filter) → out keys."""
@@ -89,18 +115,10 @@ def push_keys_to(
         return [r[0] for r in df.select(out_key).distinct().collect()]
 
     key_in, key_vals = None, None
-    for i in range(len(path) - 1):
-        cur, nxt = path[i], path[i + 1]
-        edge = next(e for e in graph.edges if e.touches(cur) and e.touches(nxt))
-        if len(edge.keys) != 1:
-            raise NotImplementedError("multi-column join keys on semi-join path")
-        key = edge.keys[0]
-        values = filtered_keys(cur, key_in, key_vals, key)
-        if i == len(path) - 2:
-            return key, values
-        key_in, key_vals = key, values
-    # relation == target: predicates already reference target's columns
-    raise AssertionError("unreachable: path has ≥2 relations when relation != target")
+    for cur, key in hops:
+        key_vals = filtered_keys(cur, key_in, key_vals, key)
+        key_in = key
+    return key_in, key_vals
 
 
 def leaf_condition(
@@ -181,6 +199,7 @@ class SnowflakeResidualUpdater:
 
     # -- the per-iteration update ---------------------------------------
     def update(self, tree: DecisionTree) -> None:
+        t0 = time.perf_counter()  # building the leaf conditions is update time
         conds = [
             (
                 leaf_condition(self.graph, self.fact, leaf, self.dim_pandas),
@@ -188,7 +207,6 @@ class SnowflakeResidualUpdater:
             )
             for leaf in tree.leaves()
         ]
-        t0 = time.perf_counter()
         old = self.current
         if self.strategy == "naive":
             self.current = self._update_naive(conds, tree)

@@ -25,8 +25,9 @@ aggregated by join key *before* any contact with the dimensions, and
 ``R⋈`` is never materialized.
 
 Requirements (checked at init): a snowflake star where every feature
-relation is the fact itself or directly adjacent to it, and only the
-fact carries annotations. Deeper snowflakes and galaxy schemas use the
+relation is the fact itself or directly adjacent to it, every
+fact–dimension edge joins on a single key column, and only the fact
+carries annotations. Deeper snowflakes and galaxy schemas use the
 general engine.
 """
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _ctx_key(ctx: PredContext) -> frozenset:
 
 
 class StarTreeTrainer:
-    """One-Spark-job-per-node factorized tree training on star schemas."""
+    """Factorized tree training on star schemas, one Spark job per evaluated node."""
 
     def __init__(
         self,
@@ -68,6 +69,13 @@ class StarTreeTrainer:
         self.graph = graph
         self.params = params or TrainParams()
         self.hub = next(iter(graph.clusters()))
+        for e in graph.edges:
+            if e.many == self.hub and len(e.keys) > 1:
+                raise ValueError(
+                    f"composite join key {e.keys} on edge {e.many}-{e.one}: "
+                    "the star path groups and filters the fact on one key "
+                    "column — use FactorizedTreeTrainer"
+                )
         # feature → (fact-side grouping column, dim name or None)
         self.feature_col: Dict[str, Tuple[str, Optional[str]]] = {}
         for f, rel, num in graph.all_features():
@@ -252,7 +260,7 @@ class StarTreeTrainer:
         c0, s0 = self._totals(stats0, cols)
         root = Node(next(self._ids), 0, prediction=self._leaf(c0, s0))
         tree = DecisionTree(root)
-        sp = self._best(ctx, c0, s0, allowed)
+        sp = self._best(ctx, c0, s0, allowed) if p.splittable(1, 0, c0) else None
         pq: List[Tuple[float, int, Node, PredContext, float, float, Split]] = []
         counter = itertools.count()
         if sp is not None:
@@ -260,8 +268,7 @@ class StarTreeTrainer:
         n_leaves = 1
         while pq and n_leaves < p.max_leaves:
             _, _, node, nctx, c_t, s_t, split = heapq.heappop(pq)
-            if node.depth + 1 > p.max_depth:
-                continue
+            n_leaves += 1
             node.split_feature = split.feature
             node.split_value = split.value
             node.split_numeric = split.numeric
@@ -284,7 +291,7 @@ class StarTreeTrainer:
                     node.left = child
                 else:
                     node.right = child
-                if child.depth < p.max_depth and c > 2 * p.min_child:
+                if p.splittable(n_leaves, child.depth, c):
                     if not left and _ctx_key(cctx) not in self._memo:
                         # right child: derive stats from parent − left
                         # instead of running another Spark job
@@ -297,7 +304,6 @@ class StarTreeTrainer:
                             pq, (-csp.gain, next(counter), child, cctx, c, s, csp)
                         )
             node.prediction = None
-            n_leaves += 1
         return tree
 
     def _leaf(self, c: float, s: float) -> float:

@@ -59,6 +59,22 @@ class TrainParams:
     n_jobs: int = 1
     sql_splits: bool = False
 
+    def splittable(self, n_leaves: int, depth: int, c: float) -> bool:
+        """Is a new node worth a best-split search?
+
+        ``n_leaves`` is the tree's leaf count once the node exists.
+        Growth pops a node only while the tree has fewer than
+        ``max_leaves`` leaves, and the count never falls, so a node born
+        with the budget spent is never split: its best split would be
+        thrown away (LightGBM's leaf-wise loop searches only while
+        ``split < num_leaves - 1`` for the same reason).
+        """
+        return (
+            n_leaves < self.max_leaves
+            and depth < self.max_depth
+            and c > 2 * self.min_child
+        )
+
 
 @dataclass
 class _LeafTask:
@@ -184,7 +200,11 @@ class FactorizedTreeTrainer:
         c0, s0, *_ = self.engine.total(ctx)
         root = Node(next(self._ids), 0)
         tree = DecisionTree(root)
-        split0 = self._best_split(ctx, c0, s0, all_feats)
+        split0 = (
+            self._best_split(ctx, c0, s0, all_feats)
+            if p.splittable(1, 0, c0)
+            else None
+        )
         pq: List[Tuple[float, int, _LeafTask]] = []
         counter = itertools.count()
         task = _LeafTask(root, ctx, c0, s0, split0, tuple(all_feats))
@@ -197,8 +217,7 @@ class FactorizedTreeTrainer:
             _, _, task = heapq.heappop(pq)
             node, split = task.node, task.split
             assert split is not None
-            if node.depth + 1 > p.max_depth:
-                continue
+            n_leaves += 1
             if self.mode == "batch":
                 self.engine.clear_cache()
             # CPT: lock the cluster on the first (root) split
@@ -232,7 +251,7 @@ class FactorizedTreeTrainer:
                     node.left = child
                 else:
                     node.right = child
-                if child.depth < p.max_depth and c > 2 * p.min_child:
+                if p.splittable(n_leaves, child.depth, c):
                     csplit = self._best_split(child_ctx, c, s, allowed)
                 else:
                     csplit = None
@@ -246,7 +265,6 @@ class FactorizedTreeTrainer:
                         ),
                     )
             node.prediction = None
-            n_leaves += 1
         return tree
 
     def _leaf_pred(self, c: float, s: float) -> float:
@@ -324,14 +342,13 @@ class NaiveTreeTrainer:
         tree = DecisionTree(root)
         pq: List[Tuple[float, int, Node, List[str], float, float, Split]] = []
         counter = itertools.count()
-        sp = best([], c0, s0)
+        sp = best([], c0, s0) if p.splittable(1, 0, c0) else None
         if sp is not None:
             heapq.heappush(pq, (-sp.gain, next(counter), root, [], c0, s0, sp))
         n_leaves = 1
         while pq and n_leaves < p.max_leaves:
             _, _, node, preds, c_t, s_t, split = heapq.heappop(pq)
-            if node.depth + 1 > p.max_depth:
-                continue
+            n_leaves += 1
             node.split_feature = split.feature
             node.split_value = split.value
             node.split_numeric = split.numeric
@@ -350,7 +367,7 @@ class NaiveTreeTrainer:
                     node.left = child
                 else:
                     node.right = child
-                if child.depth < p.max_depth and c > 2 * p.min_child:
+                if p.splittable(n_leaves, child.depth, c):
                     csp = best(cpreds, c, s)
                     if csp is not None:
                         heapq.heappush(
@@ -358,7 +375,6 @@ class NaiveTreeTrainer:
                             (-csp.gain, next(counter), child, cpreds, c, s, csp),
                         )
             node.prediction = None
-            n_leaves += 1
         return tree
 
     def close(self) -> None:

@@ -214,8 +214,10 @@ def t3_query_census(
             }
         )
     n_feats = len(g.all_features())
+    # one split query per evaluated node and feature, plus the root's total
+    n_nodes = sum(1 for k, _ in timings if k == "split") // n_feats
     res.notes.append(
-        f"{n_feats} features, {len(g.edges)} join edges, 15 node evaluations: "
+        f"{n_feats} features, {len(g.edges)} join edges, {n_nodes} node evaluations: "
         f"paper expects #split = nodes×features, #message ≤ nodes×edges "
         "(cross-node caching removes reruns)"
     )

@@ -12,12 +12,13 @@ import os
 os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "8")
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.join_graph import JoinGraph
 from repro.data.favorita import favorita
 from repro.data.imdb import imdb
-from repro.data.star import DimSpec, build_star
+from repro.data.star import DimSpec, StarData, build_star
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +47,38 @@ def star_int(spark):
     return build_star(
         spark, "fact", 4000, dims, target, noise_sigma=0.0, seed=11
     )
+
+
+@pytest.fixture(scope="session")
+def composite_key(spark):
+    """Two-relation star whose dimension joins the fact on ``(k1, k2)``.
+
+    ``d`` depends on both key columns, so grouping or filtering the fact
+    on ``k1`` alone gives wrong per-value stats. Integer y keeps every
+    trainer's sums exact.
+    """
+    rng = np.random.default_rng(17)
+    dim = pd.DataFrame(
+        [(a, b) for a in range(4) for b in range(5)], columns=["k1", "k2"]
+    )
+    dim["d"] = rng.permutation(len(dim)).astype("int64")
+    n = 300
+    fact = pd.DataFrame(
+        {
+            "k1": rng.integers(0, 4, n),
+            "k2": rng.integers(0, 5, n),
+            "x": rng.integers(0, 10, n),
+        }
+    )
+    d = fact.merge(dim, on=["k1", "k2"], how="left")["d"]
+    fact["y"] = (3 * d + fact["x"]).astype("float64")
+    g = JoinGraph()
+    g.add_relation(
+        "fact", spark.createDataFrame(fact), features=["x"], numeric=["x"], y="y"
+    )
+    g.add_relation("dim", spark.createDataFrame(dim), features=["d"], numeric=["d"])
+    g.add_edge("fact", "dim", ["k1", "k2"])
+    return StarData("fact", fact, {"dim": dim}, g)
 
 
 @pytest.fixture(scope="session")

@@ -97,7 +97,8 @@ class TestMadlibLike:
                                max_candidates=3)
         tr.train()
         n_feats = len(star_int.graph.all_features())
-        # 1 totals + root best (n_feats × 3) + 2 children best
+        # 1 totals + root best (n_feats × 3); the only split's children
+        # are final leaves, so they are never evaluated
         assert tr.queries_issued >= 1 + 3 * n_feats
         tr.close()
 

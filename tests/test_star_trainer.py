@@ -82,3 +82,16 @@ class TestSiblingSubtraction:
         c = star.clone()
         assert c.fact is None and c._memo == {}
         assert c.dim_pandas is star.dim_pandas  # shared read-only dims
+
+
+class TestLeafBudget:
+    @pytest.mark.parametrize("max_leaves,jobs", [(1, 1), (2, 1), (4, 3)])
+    def test_final_split_children_not_evaluated(self, star_int, max_leaves, jobs):
+        """A fully grown tree costs the root's job plus one per split
+        whose children may still split; the last split's children get
+        their leaf values from the parent's split stats alone."""
+        st = StarTreeTrainer(star_int.graph, TrainParams(max_leaves=max_leaves))
+        st.set_fact(SR.lift(star_int.graph.relations["fact"].df, "y"))
+        tree = st.train()
+        assert tree.n_leaves() == max_leaves
+        assert st.jobs_run == jobs

@@ -5,6 +5,7 @@ reference library) is checked exactly on the integer-y fixture, where
 every semi-ring sum is exact in float64, so all four training paths
 must produce bit-identical trees.
 """
+import pandas as pd
 import pytest
 
 from repro.core.semiring import VarianceSemiring
@@ -74,6 +75,22 @@ class TestFactorizedModes:
         t2 = ba.train()
         ba.engine.clear_cache()
         assert t1.to_dict() == t2.to_dict()
+
+    @pytest.mark.parametrize("max_leaves", [1, 2])
+    def test_leaf_budget_absorptions(self, star_int, max_leaves):
+        """Nodes the tree can never split run no per-feature absorptions:
+        only the root's total for one leaf, plus the root's features for
+        two (its children are final leaves)."""
+        g = star_int.graph
+        tr = FactorizedTreeTrainer(
+            g, VarianceSemiring(track_q=False), TrainParams(max_leaves=max_leaves)
+        )
+        tr.engine.lift_y()
+        tree = tr.train()
+        tr.engine.clear_cache()
+        assert tree.n_leaves() == max_leaves
+        n_feats = len(g.all_features())
+        assert tr.engine.stats.absorption_queries == 1 + (max_leaves - 1) * n_feats
 
     def test_unknown_mode(self, star_int):
         with pytest.raises(ValueError, match="unknown mode"):
@@ -179,3 +196,21 @@ class TestDepthAndGainLimits:
         tr.engine.clear_cache()
         assert tree.n_leaves() == 1
         assert tree.root.prediction is not None
+
+    def test_splittable_rule(self):
+        p = TrainParams(max_leaves=4, max_depth=3, min_child=5)
+        assert p.splittable(3, 2, 11)
+        assert not p.splittable(4, 2, 11)  # leaf budget spent
+        assert not p.splittable(3, 3, 11)  # at max_depth
+        assert not p.splittable(3, 2, 10)  # c must exceed 2·min_child
+
+    def test_root_at_twice_min_child_stays_leaf(self):
+        """Deliberate: the root obeys the children's ``c > 2·min_child``
+        rule, so a root with exactly ``2·min_child`` rows is not searched
+        even though a 2/2 split would be admissible."""
+        wide = pd.DataFrame({"x": [0, 0, 1, 1], "y": [0.0, 0.0, 10.0, 10.0]})
+        y = wide["y"].to_numpy()
+        tree = NpTreeTrainer(wide, ["x"], ["x"], TrainParams(min_child=2)).train(y)
+        assert tree.n_leaves() == 1
+        split = NpTreeTrainer(wide, ["x"], ["x"], TrainParams(min_child=1.9)).train(y)
+        assert split.n_leaves() == 2
