@@ -17,17 +17,15 @@ data); the T10 harness does the same.
 """
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
 from ..core.join_graph import JoinGraph
-from ..core.split import Split, better, pick
-from ..core.trainer import TrainParams
+from ..core.split import Split
+from ..core.trainer import TrainParams, grow
 from ..core.tree import DecisionTree, Node, Pred
 
 
@@ -43,7 +41,6 @@ class MadlibLikeTrainer:
         self.graph = graph
         self.params = params or TrainParams()
         self.max_candidates = max_candidates
-        self._ids = itertools.count()
         self.wide = graph.materialize().cache()
         self.wide.count()
         self.queries_issued = 0
@@ -93,8 +90,6 @@ class MadlibLikeTrainer:
         return Split(feature, value, numeric, gain, c_l, s_l)
 
     def train(self, features: Optional[Sequence[str]] = None) -> DecisionTree:
-        p = self.params
-        y = self.graph.y_column
         feats = [
             (f, num)
             for f, r, num in self.graph.all_features()
@@ -102,61 +97,21 @@ class MadlibLikeTrainer:
         ]
         cand_cache = {f: self._candidates(f) for f, _ in feats}
 
-        def totals(df: DataFrame) -> Tuple[float, float]:
-            row = df.agg(
-                F.count(F.lit(1)).alias("c"), F.sum(F.col(y)).alias("s")
-            ).collect()[0]
-            self.queries_issued += 1
-            return float(row["c"] or 0), float(row["s"] or 0.0)
-
-        def best(df: DataFrame, c0: float, s0: float) -> Optional[Split]:
-            out: Optional[Split] = None
+        def candidates(node: Node, c: float, s: float) -> Iterator[Optional[Split]]:
+            df = self.wide
+            for pred in node.preds:
+                df = df.filter(pred.col())
             for f, num in feats:
                 for v in cand_cache[f]:
-                    s = self._eval_candidate(df, f, v, num, c0, s0)
-                    if s is None or s.gain < p.min_gain:
-                        continue
-                    out = pick(out, s)
-            return out
+                    yield self._eval_candidate(df, f, v, num, c, s)
 
-        c0, s0 = totals(self.wide)
-        root = Node(next(self._ids), 0, prediction=(s0 / c0 if c0 else 0.0))
-        tree = DecisionTree(root)
-        sp = best(self.wide, c0, s0) if p.splittable(1, 0, c0) else None
-        pq: List[Tuple[float, int, Node, DataFrame, float, float, Split]] = []
-        counter = itertools.count()
-        if sp is not None:
-            heapq.heappush(pq, (-sp.gain, next(counter), root, self.wide, c0, s0, sp))
-        n_leaves = 1
-        while pq and n_leaves < p.max_leaves:
-            _, _, node, df, c_t, s_t, split = heapq.heappop(pq)
-            n_leaves += 1
-            node.split_feature = split.feature
-            node.split_value = split.value
-            node.split_numeric = split.numeric
-            for left in (True, False):
-                pr = Pred(split.feature, split.value, split.numeric, left)
-                cdf = df.filter(pr.col())
-                c = split.c_left if left else c_t - split.c_left
-                s = split.s_left if left else s_t - split.s_left
-                child = Node(
-                    next(self._ids),
-                    node.depth + 1,
-                    preds=node.preds + [pr],
-                    prediction=(s / c if c else 0.0),
-                )
-                if left:
-                    node.left = child
-                else:
-                    node.right = child
-                if p.splittable(n_leaves, child.depth, c):
-                    csp = best(cdf, c, s)
-                    if csp is not None:
-                        heapq.heappush(
-                            pq, (-csp.gain, next(counter), child, cdf, c, s, csp)
-                        )
-            node.prediction = None
-        return tree
+        y = F.col(self.graph.y_column)
+        row = self.wide.agg(
+            F.count(F.lit(1)).alias("c"), F.sum(y).alias("s")
+        ).collect()[0]
+        self.queries_issued += 1
+        c0, s0 = float(row["c"] or 0), float(row["s"] or 0.0)
+        return grow(self.params, c0, s0, candidates)
 
     def close(self) -> None:
         self.wide.unpersist()

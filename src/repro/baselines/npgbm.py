@@ -65,7 +65,6 @@ class NpTreeTrainer:
         self.features = list(features)
         self.numeric = frozenset(numeric)
         self.params = params or TrainParams()
-        self._ids = itertools.count()
 
     def _best(
         self, target: np.ndarray, idx: np.ndarray, c0: float, s0: float,
@@ -91,7 +90,7 @@ class NpTreeTrainer:
         feats = list(features) if features is not None else self.features
         idx0 = np.arange(len(self.pdf))
         c0, s0 = float(len(idx0)), float(target.sum())
-        root = Node(next(self._ids), 0, prediction=(s0 / c0 if c0 else 0.0))
+        root = Node(0, prediction=p.leaf_value(c0, s0))
         tree = DecisionTree(root)
         sp = self._best(target, idx0, c0, s0, feats) if p.splittable(1, 0, c0) else None
         pq: List[Tuple[float, int, Node, np.ndarray, float, float, Split]] = []
@@ -112,11 +111,10 @@ class NpTreeTrainer:
                 c = split.c_left if left else c_t - split.c_left
                 s = split.s_left if left else s_t - split.s_left
                 child = Node(
-                    next(self._ids),
                     node.depth + 1,
                     preds=node.preds
                     + [Pred(split.feature, split.value, split.numeric, left)],
-                    prediction=(s / c if c else 0.0),
+                    prediction=p.leaf_value(c, s),
                 )
                 if left:
                     node.left = child

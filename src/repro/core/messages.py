@@ -25,37 +25,37 @@ is the ⊗-identity per join key and is dropped (the join it feeds is
 skipped), assuming no missing join keys — the paper's snowflake
 "identity path" rule.
 
-Predicates are passed as a *context*: ``{relation: (cond_sql, ...)}``
-with each condition a Spark SQL boolean expression over that relation's
-own columns. Tree-node predicates always live on single relations
-(split attributes), so this is fully general for tree training.
+Predicates are passed as a *context*: ``{relation: (Pred, ...)}`` with
+each :class:`~repro.core.tree.Pred` over that relation's own columns,
+applied with :meth:`Pred.col`. Tree-node predicates always live on
+single relations (split attributes), so this is fully general for tree
+training; :func:`node_context` builds a node's context from its path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from pyspark.sql import DataFrame
 import pyspark.sql.functions as F
 
-from .join_graph import Edge, JoinGraph
+from .join_graph import JoinGraph
 from .semiring import PREFIX
+from .tree import Pred
 
-#: context type: relation name → sorted tuple of predicate SQL strings
-Context = Dict[str, Tuple[str, ...]]
+#: context type: relation name → predicates on that relation's columns
+Context = Dict[str, Tuple[Pred, ...]]
 
 _TMP = "__rhs_"  # temporary prefix for the right side of an ⊗ join
 
 
-def ctx_key(context: Context) -> FrozenSet:
-    return frozenset((r, p) for r, preds in context.items() for p in preds)
-
-
-def ctx_with(context: Context, relation: str, pred: str) -> Context:
-    """A copy of ``context`` with ``pred`` appended for ``relation``."""
-    new = dict(context)
-    new[relation] = tuple(sorted(new.get(relation, ()) + (pred,)))
-    return new
+def node_context(graph: JoinGraph, preds: Sequence[Pred]) -> Context:
+    """A tree node's context: its path predicates grouped by relation."""
+    ctx: Context = {}
+    for pred in preds:
+        rel = graph.feature_relation(pred.feature)
+        ctx[rel] = ctx.get(rel, ()) + (pred,)
+    return ctx
 
 
 @dataclass
@@ -140,7 +140,7 @@ class MessageEngine:
         else:
             df, ann = base, True
         for pred in context.get(name, ()):
-            df = df.filter(pred)
+            df = df.filter(pred.col())
         return df, ann
 
     def _join_mult(

@@ -32,9 +32,8 @@ general engine.
 """
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
@@ -42,16 +41,14 @@ import pyspark.sql.functions as F
 from pyspark.sql import Column, DataFrame
 
 from .join_graph import JoinGraph
+from .messages import Context, node_context
 from .semiring import PREFIX
-from .split import Split, best_split_np, pick
-from .trainer import TrainParams
-from .tree import DecisionTree, Node, Pred
-
-#: node context for the star path: relation → predicates on its columns
-PredContext = Dict[str, Tuple[Pred, ...]]
+from .split import Split, best_split_np
+from .trainer import TrainParams, grow
+from .tree import DecisionTree, Node
 
 
-def _ctx_key(ctx: PredContext) -> frozenset:
+def _ctx_key(ctx: Context) -> frozenset:
     return frozenset((r, p) for r, preds in ctx.items() for p in preds)
 
 
@@ -104,7 +101,6 @@ class StarTreeTrainer:
             if name != self.hub
         }
         self.fact: Optional[DataFrame] = None
-        self._ids = itertools.count()
         self._memo: Dict[frozenset, pd.DataFrame] = {}
         self.jobs_run = 0
 
@@ -118,7 +114,6 @@ class StarTreeTrainer:
         new.__dict__ = {**self.__dict__}
         new.fact = None
         new._memo = {}
-        new._ids = itertools.count()
         new.jobs_run = 0
         return new
 
@@ -129,7 +124,7 @@ class StarTreeTrainer:
         self._memo.clear()
 
     # -- node evaluation -------------------------------------------------
-    def _fact_filter(self, ctx: PredContext) -> Column:
+    def _fact_filter(self, ctx: Context) -> Column:
         cond = F.lit(True)
         for rel, preds in sorted(ctx.items()):
             if rel == self.hub:
@@ -148,7 +143,7 @@ class StarTreeTrainer:
                 cond = cond & F.col(edge.keys[0]).isin(keys)
         return cond
 
-    def _node_stats(self, ctx: PredContext, cols: Sequence[str]) -> pd.DataFrame:
+    def _node_stats(self, ctx: Context, cols: Sequence[str]) -> pd.DataFrame:
         """The node's batched message table (memoized per context)."""
         key = _ctx_key(ctx)
         if key in self._memo:
@@ -171,9 +166,9 @@ class StarTreeTrainer:
 
     def _derive_sibling(
         self,
-        parent_ctx: PredContext,
-        left_ctx: PredContext,
-        right_ctx: PredContext,
+        parent_ctx: Context,
+        left_ctx: Context,
+        right_ctx: Context,
         cols: Sequence[str],
     ) -> None:
         """Right-child stats by subtraction: parent − left (driver-side).
@@ -182,7 +177,7 @@ class StarTreeTrainer:
         the right child is exactly the parent's minus the left child's —
         LightGBM's histogram-subtraction trick, here saving one Spark
         job per split. The result is installed into the memo so
-        ``_best`` never issues a query for the right child.
+        the right child's split search never issues a query.
         """
         parent = self._node_stats(parent_ctx, cols)
         left = self._node_stats(left_ctx, cols)
@@ -223,89 +218,37 @@ class StarTreeTrainer:
             .reset_index()
         )
 
-    def _best(
-        self,
-        ctx: PredContext,
-        c_tot: float,
-        s_tot: float,
-        allowed: Sequence[Tuple[str, str, bool]],
-    ) -> Optional[Split]:
-        p = self.params
-        cols = self._grouping_cols([f for f, _, _ in allowed])
-        stats = self._node_stats(ctx, cols)
-        best: Optional[Split] = None
-        for f, _, num in allowed:
-            fs = self._feature_stats(stats, cols, f)
-            s = best_split_np(
-                fs, f, num, c_tot, s_tot,
-                reg_lambda=p.reg_lambda, min_child=p.min_child,
-            )
-            if s is None or s.gain < p.min_gain:
-                continue
-            best = pick(best, s)
-        return best
-
     # -- growth -----------------------------------------------------------
     def train(self, features: Optional[Sequence[str]] = None) -> DecisionTree:
         p = self.params
         self._memo.clear()
-        allowed = tuple(
-            (f, r, num)
-            for f, r, num in self.graph.all_features()
+        allowed = [
+            (f, num)
+            for f, _, num in self.graph.all_features()
             if features is None or f in features
-        )
-        cols = self._grouping_cols([f for f, _, _ in allowed])
-        ctx: PredContext = {}
-        stats0 = self._node_stats(ctx, cols)
-        c0, s0 = self._totals(stats0, cols)
-        root = Node(next(self._ids), 0, prediction=self._leaf(c0, s0))
-        tree = DecisionTree(root)
-        sp = self._best(ctx, c0, s0, allowed) if p.splittable(1, 0, c0) else None
-        pq: List[Tuple[float, int, Node, PredContext, float, float, Split]] = []
-        counter = itertools.count()
-        if sp is not None:
-            heapq.heappush(pq, (-sp.gain, next(counter), root, ctx, c0, s0, sp))
-        n_leaves = 1
-        while pq and n_leaves < p.max_leaves:
-            _, _, node, nctx, c_t, s_t, split = heapq.heappop(pq)
-            n_leaves += 1
-            node.split_feature = split.feature
-            node.split_value = split.value
-            node.split_numeric = split.numeric
-            rel = self.graph.feature_relation(split.feature)
-            child_ctxs = {}
-            for left in (True, False):
-                pr = Pred(split.feature, split.value, split.numeric, left)
-                cctx = dict(nctx)
-                cctx[rel] = tuple(list(cctx.get(rel, ())) + [pr])
-                child_ctxs[left] = cctx
-                c = split.c_left if left else c_t - split.c_left
-                s = split.s_left if left else s_t - split.s_left
-                child = Node(
-                    next(self._ids),
-                    node.depth + 1,
-                    preds=node.preds + [pr],
-                    prediction=self._leaf(c, s),
-                )
-                if left:
-                    node.left = child
-                else:
-                    node.right = child
-                if p.splittable(n_leaves, child.depth, c):
-                    if not left and _ctx_key(cctx) not in self._memo:
-                        # right child: derive stats from parent − left
-                        # instead of running another Spark job
-                        self._derive_sibling(
-                            nctx, child_ctxs[True], cctx, cols
-                        )
-                    csp = self._best(cctx, c, s, allowed)
-                    if csp is not None:
-                        heapq.heappush(
-                            pq, (-csp.gain, next(counter), child, cctx, c, s, csp)
-                        )
-            node.prediction = None
-        return tree
+        ]
+        cols = self._grouping_cols([f for f, _ in allowed])
 
-    def _leaf(self, c: float, s: float) -> float:
-        denom = c + self.params.reg_lambda
-        return 0.0 if denom == 0 else s / denom
+        def candidates(node: Node, c: float, s: float) -> Iterator[Optional[Split]]:
+            ctx = node_context(self.graph, node.preds)
+            right = bool(node.preds) and not node.preds[-1].left
+            if right and _ctx_key(ctx) not in self._memo:
+                # right child: derive stats from parent − left instead
+                # of running another Spark job
+                up = node.preds[:-1]
+                left = up + [replace(node.preds[-1], left=True)]
+                self._derive_sibling(
+                    node_context(self.graph, up),
+                    node_context(self.graph, left),
+                    ctx,
+                    cols,
+                )
+            stats = self._node_stats(ctx, cols)
+            for f, num in allowed:
+                yield best_split_np(
+                    self._feature_stats(stats, cols, f), f, num, c, s,
+                    reg_lambda=p.reg_lambda, min_child=p.min_child,
+                )
+
+        c0, s0 = self._totals(self._node_stats({}, cols), cols)
+        return grow(p, c0, s0, candidates)

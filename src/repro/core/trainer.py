@@ -1,7 +1,11 @@
 """Factorized decision-tree training — paper Algorithm 1 + Sections 3.3, 5.5.
 
-:class:`FactorizedTreeTrainer` grows one tree with best-first growth
-(priority queue on criteria reduction) over a :class:`JoinGraph`,
+:func:`grow` is Algorithm 1's best-first growth (priority queue on
+criteria reduction), written once for every Spark trainer: each trainer
+supplies only the per-feature best splits of a node, from statistics
+filtered by the node's path predicates.
+
+:class:`FactorizedTreeTrainer` grows one tree over a :class:`JoinGraph`,
 evaluating every candidate split from semi-ring aggregates produced by
 the :class:`MessageEngine` — ``R⋈`` is never materialized.
 
@@ -34,14 +38,13 @@ import heapq
 import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame
 
 from .join_graph import JoinGraph
-from .messages import Context, MessageEngine, ctx_with
+from .messages import Context, MessageEngine, node_context
 from .semiring import PREFIX, VarianceSemiring
 from .split import Split, best_split_np, best_split_sql, pick
 from .tree import DecisionTree, Node, Pred
@@ -75,17 +78,63 @@ class TrainParams:
             and c > 2 * self.min_child
         )
 
+    def leaf_value(self, c: float, s: float) -> float:
+        """Optimal leaf value ``Σs / (Σc + β)`` (Appendix B)."""
+        denom = c + self.reg_lambda
+        return 0.0 if denom == 0 else s / denom
 
-@dataclass
-class _LeafTask:
-    """Priority-queue entry: a grown leaf and its best candidate split."""
 
-    node: Node
-    context: Context
-    c_total: float
-    s_total: float
-    split: Optional[Split]
-    allowed: Tuple[Tuple[str, str, bool], ...]  # (feature, relation, numeric)
+#: ``candidates(node, c, s)``: one best split (or None) per feature
+Candidates = Callable[[Node, float, float], Iterable[Optional[Split]]]
+
+
+def grow(
+    params: TrainParams, c0: float, s0: float, candidates: Candidates
+) -> DecisionTree:
+    """Best-first tree growth (Algorithm 1), shared by every Spark trainer.
+
+    ``c0``/``s0`` are the root's totals. A trainer supplies only
+    ``candidates``, called once for each node that
+    :meth:`TrainParams.splittable` admits; the node carries its depth and
+    path predicates (``node.preds``), from which the trainer builds its
+    statistics. Children's totals come from the parent's split, so only
+    split search touches data.
+    """
+    p = params
+    heap: List[Tuple[float, int, Node, float, float, Split]] = []
+    tie = itertools.count()
+    n_leaves = 1
+
+    def visit(node: Node, c: float, s: float) -> None:
+        node.prediction = p.leaf_value(c, s)
+        if not p.splittable(n_leaves, node.depth, c):
+            return
+        best: Optional[Split] = None
+        for split in candidates(node, c, s):
+            if split is not None and split.gain >= p.min_gain:
+                best = pick(best, split)
+        if best is not None:
+            heapq.heappush(heap, (-best.gain, next(tie), node, c, s, best))
+
+    root = Node(0)
+    visit(root, c0, s0)
+    while heap and n_leaves < p.max_leaves:
+        _, _, node, c, s, split = heapq.heappop(heap)
+        n_leaves += 1
+        node.split_feature = split.feature
+        node.split_value = split.value
+        node.split_numeric = split.numeric
+        node.prediction = None
+        for left in (True, False):
+            pred = Pred(split.feature, split.value, split.numeric, left)
+            child = Node(node.depth + 1, preds=node.preds + [pred])
+            if left:
+                node.left = child
+                visit(child, split.c_left, split.s_left)
+            else:
+                node.right = child
+                visit(child, c - split.c_left, s - split.s_left)
+    return DecisionTree(root)
 
 
 class FactorizedTreeTrainer:
@@ -106,7 +155,6 @@ class FactorizedTreeTrainer:
         self.mode = mode
         self.engine = MessageEngine(graph, self.semiring)
         self._msg_lock = threading.Lock()
-        self._ids = itertools.count()
 
     # -- split evaluation ----------------------------------------------
     def _eval_feature(
@@ -143,18 +191,18 @@ class FactorizedTreeTrainer:
                 for src, dst, _ in self.graph.message_schedule(root):
                     self.engine.message(src, dst, context)
 
-    def _best_split(
+    def _splits(
         self,
         context: Context,
         c_total: float,
         s_total: float,
         allowed: Sequence[Tuple[str, str, bool]],
-    ) -> Optional[Split]:
-        """GetBestSplit (Algorithm 1, L11-16) across all allowed features."""
+    ) -> List[Optional[Split]]:
+        """GetBestSplit (Algorithm 1, L11-16): one split per allowed feature."""
         self._warm_messages(context, allowed)
         if self.params.n_jobs > 1:
             with ThreadPoolExecutor(self.params.n_jobs) as ex:
-                results = list(
+                return list(
                     ex.map(
                         lambda fr: self._eval_feature(
                             fr[0], fr[2], context, c_total, s_total
@@ -162,115 +210,54 @@ class FactorizedTreeTrainer:
                         allowed,
                     )
                 )
-        else:
-            results = [
-                self._eval_feature(f, num, context, c_total, s_total)
-                for f, _, num in allowed
-            ]
-        best: Optional[Split] = None
-        for s in results:
-            if s is None or s.gain < self.params.min_gain:
-                continue
-            best = pick(best, s)
-        return best
+        return [
+            self._eval_feature(f, num, context, c_total, s_total)
+            for f, _, num in allowed
+        ]
 
     # -- growth ---------------------------------------------------------
     def train(
-        self,
-        features: Optional[Sequence[str]] = None,
-        context: Optional[Context] = None,
-        cpt: bool = False,
+        self, features: Optional[Sequence[str]] = None, cpt: bool = False
     ) -> DecisionTree:
-        """Train one tree (Algorithm 1). ``context`` pre-filters ``R⋈``.
+        """Train one tree (Algorithm 1).
 
         ``cpt=True`` applies Clustered Predicate Trees (Section 4.2.2):
         after the root split, candidate features are restricted to the
         cluster containing the root split's relation, and the chosen
         cluster fact is recorded on the tree for residual updates.
         """
-        p = self.params
-        if self.mode == "batch":
-            self.engine.clear_cache()
+        graph = self.graph
         all_feats = [
             (f, r, num)
-            for f, r, num in self.graph.all_features()
+            for f, r, num in graph.all_features()
             if features is None or f in features
         ]
-        ctx: Context = dict(context or {})
-        c0, s0, *_ = self.engine.total(ctx)
-        root = Node(next(self._ids), 0)
-        tree = DecisionTree(root)
-        split0 = (
-            self._best_split(ctx, c0, s0, all_feats)
-            if p.splittable(1, 0, c0)
-            else None
-        )
-        pq: List[Tuple[float, int, _LeafTask]] = []
-        counter = itertools.count()
-        task = _LeafTask(root, ctx, c0, s0, split0, tuple(all_feats))
-        root.prediction = self._leaf_pred(c0, s0)
-        if split0 is not None:
-            heapq.heappush(pq, (-split0.gain, next(counter), task))
-        n_leaves = 1
-        cluster_fact: Optional[str] = None
-        while pq and n_leaves < p.max_leaves:
-            _, _, task = heapq.heappop(pq)
-            node, split = task.node, task.split
-            assert split is not None
-            n_leaves += 1
-            if self.mode == "batch":
-                self.engine.clear_cache()
-            # CPT: lock the cluster on the first (root) split
-            allowed = task.allowed
-            if cpt and cluster_fact is None:
-                rel = self.graph.feature_relation(split.feature)
-                clusters = self.graph.clusters()
-                candidates = sorted(f for f, m in clusters.items() if rel in m)
-                cluster_fact = candidates[0]
-                members = clusters[cluster_fact]
-                allowed = tuple(
-                    (f, r, num) for f, r, num in allowed if r in members
-                )
-                tree.cluster = cluster_fact
-            node.split_feature = split.feature
-            node.split_value = split.value
-            node.split_numeric = split.numeric
-            rel = self.graph.feature_relation(split.feature)
-            for left in (True, False):
-                pred = Pred(split.feature, split.value, split.numeric, left)
-                child_ctx = ctx_with(task.context, rel, pred.sql())
-                c = split.c_left if left else task.c_total - split.c_left
-                s = split.s_left if left else task.s_total - split.s_left
-                child = Node(
-                    next(self._ids),
-                    node.depth + 1,
-                    preds=node.preds + [pred],
-                    prediction=self._leaf_pred(c, s),
-                )
-                if left:
-                    node.left = child
-                else:
-                    node.right = child
-                if p.splittable(n_leaves, child.depth, c):
-                    csplit = self._best_split(child_ctx, c, s, allowed)
-                else:
-                    csplit = None
-                if csplit is not None:
-                    heapq.heappush(
-                        pq,
-                        (
-                            -csplit.gain,
-                            next(counter),
-                            _LeafTask(child, child_ctx, c, s, csplit, allowed),
-                        ),
-                    )
-            node.prediction = None
-        return tree
 
-    def _leaf_pred(self, c: float, s: float) -> float:
-        """Optimal leaf value ``Σs / (Σc + β)`` (Appendix B)."""
-        denom = c + self.params.reg_lambda
-        return 0.0 if denom == 0 else s / denom
+        # batch mode drops the cache once per split node: the root's
+        # total and features share it, and so do the two children
+        shared: Optional[tuple] = None
+
+        def candidates(node: Node, c: float, s: float) -> List[Optional[Split]]:
+            nonlocal shared
+            parent = tuple(node.preds[:-1]) if node.preds else None
+            if self.mode == "batch" and parent != shared:
+                self.engine.clear_cache()
+                shared = parent
+            allowed = all_feats
+            if cpt and node.preds:
+                # the root split's relation locks the tree's cluster
+                fact = graph.cluster_of_feature(node.preds[0].feature)[0]
+                members = graph.clusters()[fact]
+                allowed = [(f, r, num) for f, r, num in all_feats if r in members]
+            return self._splits(node_context(graph, node.preds), c, s, allowed)
+
+        if self.mode == "batch":
+            self.engine.clear_cache()
+        c0, s0, *_ = self.engine.total({})
+        tree = grow(self.params, c0, s0, candidates)
+        if cpt and not tree.root.is_leaf:
+            tree.cluster = graph.cluster_of_feature(tree.root.split_feature)[0]
+        return tree
 
 
 class NaiveTreeTrainer:
@@ -289,93 +276,40 @@ class NaiveTreeTrainer:
     ) -> None:
         self.graph = graph
         self.params = params or TrainParams()
-        self._ids = itertools.count()
         self.wide = graph.materialize().cache()
         self.wide.count()
 
-    def _node_stats(self, context_sql: List[str]) -> DataFrame:
-        df = self.wide
-        for pred in context_sql:
-            df = df.filter(pred)
-        return df
-
     def train(self, features: Optional[Sequence[str]] = None) -> DecisionTree:
         p = self.params
-        y = self.graph.y_column
+        y = F.col(self.graph.y_column)
         feats = [
             (f, num)
             for f, r, num in self.graph.all_features()
             if features is None or f in features
         ]
 
-        def totals(preds: List[str]) -> Tuple[float, float]:
-            row = (
-                self._node_stats(preds)
-                .agg(F.count(F.lit(1)).alias("c"), F.sum(F.col(y)).alias("s"))
-                .collect()[0]
-            )
-            return float(row["c"] or 0), float(row["s"] or 0.0)
-
-        def best(preds: List[str], c0: float, s0: float) -> Optional[Split]:
-            base = self._node_stats(preds)
-            out: Optional[Split] = None
+        def candidates(node: Node, c: float, s: float) -> Iterable[Optional[Split]]:
+            base = self.wide
+            for pred in node.preds:
+                base = base.filter(pred.col())
             for f, num in feats:
                 stats = (
                     base.groupBy(f)
                     .agg(
                         F.count(F.lit(1)).cast("double").alias(PREFIX + "c"),
-                        F.sum(F.col(y)).alias(PREFIX + "s"),
+                        F.sum(y).alias(PREFIX + "s"),
                     )
                     .toPandas()
                 )
-                s = best_split_np(
-                    stats, f, num, c0, s0,
+                yield best_split_np(
+                    stats, f, num, c, s,
                     reg_lambda=p.reg_lambda, min_child=p.min_child,
                 )
-                if s is None or s.gain < p.min_gain:
-                    continue
-                out = pick(out, s)
-            return out
 
-        c0, s0 = totals([])
-        root = Node(next(self._ids), 0, prediction=(s0 / c0 if c0 else 0.0))
-        tree = DecisionTree(root)
-        pq: List[Tuple[float, int, Node, List[str], float, float, Split]] = []
-        counter = itertools.count()
-        sp = best([], c0, s0) if p.splittable(1, 0, c0) else None
-        if sp is not None:
-            heapq.heappush(pq, (-sp.gain, next(counter), root, [], c0, s0, sp))
-        n_leaves = 1
-        while pq and n_leaves < p.max_leaves:
-            _, _, node, preds, c_t, s_t, split = heapq.heappop(pq)
-            n_leaves += 1
-            node.split_feature = split.feature
-            node.split_value = split.value
-            node.split_numeric = split.numeric
-            for left in (True, False):
-                pr = Pred(split.feature, split.value, split.numeric, left)
-                cpreds = preds + [pr.sql()]
-                c = split.c_left if left else c_t - split.c_left
-                s = split.s_left if left else s_t - split.s_left
-                child = Node(
-                    next(self._ids),
-                    node.depth + 1,
-                    preds=node.preds + [pr],
-                    prediction=(s / c if c else 0.0),
-                )
-                if left:
-                    node.left = child
-                else:
-                    node.right = child
-                if p.splittable(n_leaves, child.depth, c):
-                    csp = best(cpreds, c, s)
-                    if csp is not None:
-                        heapq.heappush(
-                            pq,
-                            (-csp.gain, next(counter), child, cpreds, c, s, csp),
-                        )
-            node.prediction = None
-        return tree
+        row = self.wide.agg(
+            F.count(F.lit(1)).alias("c"), F.sum(y).alias("s")
+        ).collect()[0]
+        return grow(p, float(row["c"] or 0), float(row["s"] or 0.0), candidates)
 
     def close(self) -> None:
         self.wide.unpersist()

@@ -38,11 +38,6 @@ class Pred:
     numeric: bool
     left: bool  # True ⇒ σ side of the parent split, False ⇒ ¬σ
 
-    def sql(self) -> str:
-        v = repr(self.value) if isinstance(self.value, str) else self.value
-        op = ("<=" if self.left else ">") if self.numeric else ("=" if self.left else "!=")
-        return f"`{self.feature}` {op} {v}"
-
     def col(self) -> Column:
         c = F.col(self.feature)
         if self.numeric:
@@ -60,7 +55,6 @@ class Pred:
 class Node:
     """Tree node; ``split`` is None for leaves."""
 
-    node_id: int
     depth: int
     preds: List[Pred] = field(default_factory=list)  # path conjunction from root
     prediction: Optional[float] = None

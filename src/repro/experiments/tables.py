@@ -436,7 +436,7 @@ def _synthetic_update_setup(spark, n_rows: int, k: int, seed: int = 0):
 
     # hand-built 8-leaf tree over fd ranges of width 1250 (paper workload)
     def build(lo, hi, depth):
-        node = Node(0, depth)
+        node = Node(depth)
         if hi - lo == 1250:
             node.prediction = float(rng.random())
             return node

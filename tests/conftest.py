@@ -82,6 +82,36 @@ def composite_key(spark):
 
 
 @pytest.fixture(scope="session")
+def star_strings(spark):
+    """Star whose dimension feature is a string with quotes and a backslash.
+
+    Categorical splits on ``name`` reach every trainer's predicate path
+    (Spark filters, driver-side masks, pandas group-bys); integer y keeps
+    the sums exact, so all trainers must grow identical trees.
+    """
+    rng = np.random.default_rng(23)
+    names = ["O'Brien", 'say "hi"', "back\\slash", "plain"]
+    dim = pd.DataFrame(
+        {"k": np.arange(12, dtype="int64"), "name": [names[i % 4] for i in range(12)]}
+    )
+    n = 400
+    fact = pd.DataFrame(
+        {"k": rng.integers(0, 12, n), "x": rng.integers(0, 10, n)}
+    )
+    level = {"O'Brien": 100, 'say "hi"': 40, "back\\slash": 10, "plain": 0}
+    fact["y"] = (
+        fact["k"].map(dim.set_index("k")["name"]).map(level) + fact["x"]
+    ).astype("float64")
+    g = JoinGraph()
+    g.add_relation(
+        "fact", spark.createDataFrame(fact), features=["x"], numeric=["x"], y="y"
+    )
+    g.add_relation("dim", spark.createDataFrame(dim), features=["name"])
+    g.add_edge("fact", "dim", ["k"])
+    return StarData("fact", fact, {"dim": dim}, g)
+
+
+@pytest.fixture(scope="session")
 def chain_graph(spark):
     """A 3-deep snowflake chain (lineitem → orders → customer) from the
     provided TPC-H-lite generators; exercises multi-hop messages and

@@ -1,36 +1,8 @@
-"""Classification via the class-count semi-ring (paper Table 1, App. A).
-
-The engine is semi-ring-generic: swapping the variance semi-ring for
-class counts turns the same message-passing machinery into a factorized
-Gini-split evaluator. Checked against brute-force pandas over the
-materialized join.
-"""
+"""Gini impurity, the classification criterion of paper Appendix A."""
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.core.join_graph import JoinGraph
-from repro.core.messages import MessageEngine
-from repro.core.semiring import PREFIX, ClassCountSemiring
-from repro.core.split import best_gini_split, gini_impurity
-
-
-@pytest.fixture(scope="module")
-def class_graph(spark):
-    rng = np.random.default_rng(21)
-    n, nd = 3000, 20
-    dim = pd.DataFrame({"k": np.arange(1, nd + 1), "fd": rng.integers(1, 50, nd)})
-    fact = pd.DataFrame({"k": rng.integers(1, nd + 1, n)})
-    # label correlated with the dim feature so splits are meaningful
-    fd_of = dim["fd"].to_numpy()[fact["k"] - 1]
-    label = ((fd_of + rng.integers(0, 20, n)) > 30).astype("int32")
-    fact["label"] = label
-    g = JoinGraph()
-    g.add_relation("fact", spark.createDataFrame(fact), y="label")
-    g.add_relation("dim", spark.createDataFrame(dim), features=["fd"], numeric=["fd"])
-    g.add_edge("fact", "dim", ["k"])
-    wide = fact.merge(dim, on="k")
-    return g, wide
+from repro.core.split import gini_impurity
 
 
 class TestGiniImpurity:
@@ -46,63 +18,3 @@ class TestGiniImpurity:
     def test_three_classes(self):
         g = gini_impurity(np.array([[1.0, 1.0, 1.0]]))[0]
         assert g == pytest.approx(1 - 3 * (1 / 9))
-
-
-class TestFactorizedClassification:
-    def test_class_counts_match_oracle(self, class_graph):
-        g, wide = class_graph
-        eng = MessageEngine(g, ClassCountSemiring(k=2))
-        eng.lift_y()
-        stats = eng.aggregate_feature("fd", {}).toPandas().sort_values("fd")
-        oracle = (
-            wide.groupby("fd")["label"]
-            .agg(n="count", pos="sum")
-            .reset_index()
-            .sort_values("fd")
-        )
-        np.testing.assert_allclose(stats[PREFIX + "c"], oracle["n"])
-        np.testing.assert_allclose(stats[PREFIX + "c1"], oracle["pos"])
-        np.testing.assert_allclose(
-            stats[PREFIX + "c0"], oracle["n"] - oracle["pos"]
-        )
-        eng.clear_cache()
-
-    def test_gini_split_matches_bruteforce(self, class_graph):
-        g, wide = class_graph
-        eng = MessageEngine(g, ClassCountSemiring(k=2))
-        eng.lift_y()
-        stats = eng.aggregate_feature("fd", {}).toPandas()
-        row = eng.absorb("fact", None, {}).collect()[0]
-        totals = np.array([row[PREFIX + "c0"], row[PREFIX + "c1"]])
-        split = best_gini_split(stats, "fd", numeric=True, totals=totals)
-        eng.clear_cache()
-        assert split is not None
-
-        def weighted_gini(labels):
-            if len(labels) == 0:
-                return 0.0
-            p = np.bincount(labels, minlength=2) / len(labels)
-            return len(labels) * (1 - (p**2).sum())
-
-        y = wide["label"].to_numpy()
-        best_gain, best_v = -np.inf, None
-        for v in sorted(wide["fd"].unique())[:-1]:
-            m = wide["fd"].to_numpy() <= v
-            gain = weighted_gini(y) - weighted_gini(y[m]) - weighted_gini(y[~m])
-            if gain > best_gain + 1e-12:
-                best_gain, best_v = gain, v
-        assert split.value == best_v
-        assert split.gain == pytest.approx(best_gain, rel=1e-9)
-
-    def test_majority_class_reported(self, class_graph):
-        g, wide = class_graph
-        eng = MessageEngine(g, ClassCountSemiring(k=2))
-        eng.lift_y()
-        stats = eng.aggregate_feature("fd", {}).toPandas()
-        row = eng.absorb("fact", None, {}).collect()[0]
-        totals = np.array([row[PREFIX + "c0"], row[PREFIX + "c1"]])
-        split = best_gini_split(stats, "fd", numeric=True, totals=totals)
-        eng.clear_cache()
-        m = wide["fd"].to_numpy() <= split.value
-        y = wide["label"].to_numpy()
-        assert int(split.s_left) == int(np.bincount(y[m], minlength=2).argmax())

@@ -8,8 +8,9 @@ import pandas as pd
 import pytest
 
 from repro.core.join_graph import JoinGraph
-from repro.core.messages import MessageEngine, ctx_with
+from repro.core.messages import MessageEngine
 from repro.core.semiring import PREFIX, VarianceSemiring
+from repro.core.tree import Pred
 from repro.oracle import assert_equivalent
 
 
@@ -101,7 +102,7 @@ class TestStarAggregates:
         )
 
     def test_filtered_aggregate_matches_duckdb(self, fav_engine, favorita_tiny):
-        ctx = ctx_with({}, "stores", "`f_store` <= 500")
+        ctx = {"stores": (Pred("f_store", 500, True, True),)}
         out = fav_engine.aggregate_feature("f_item", ctx).select(
             "f_item", PREFIX + "c", PREFIX + "s"
         )
@@ -113,9 +114,10 @@ class TestStarAggregates:
         )
 
     def test_two_filters_two_relations(self, fav_engine, favorita_tiny):
-        ctx = ctx_with(
-            ctx_with({}, "stores", "`f_store` <= 500"), "items", "`f_item` > 200"
-        )
+        ctx = {
+            "stores": (Pred("f_store", 500, True, True),),
+            "items": (Pred("f_item", 200, True, False),),
+        }
         c, s, q = fav_engine.total(ctx)
         wide = favorita_tiny.wide_pandas()
         sel = wide[(wide["f_store"] <= 500) & (wide["f_item"] > 200)]
@@ -144,7 +146,7 @@ class TestChainAggregates:
         )
 
     def test_predicate_on_middle_relation(self, chain_engine, chain_graph):
-        ctx = ctx_with({}, "orders", "`o_totalprice` <= 250000")
+        ctx = {"orders": (Pred("o_totalprice", 250000, True, True),)}
         c, s, _ = chain_engine.total(ctx)
         wide = chain_graph.materialize().toPandas()
         sel = wide[wide["o_totalprice"] <= 250000]
@@ -154,7 +156,7 @@ class TestChainAggregates:
     def test_predicate_on_far_relation_groupby_near(self, chain_engine, chain_graph):
         """Filter on customer while grouping by a lineitem feature —
         the filter travels two hops as a semi-join message."""
-        ctx = ctx_with({}, "customer", "`c_acctbal` > 0")
+        ctx = {"customer": (Pred("c_acctbal", 0, True, False),)}
         out = chain_engine.aggregate_feature("l_discount", ctx).select(
             "l_discount", PREFIX + "c", PREFIX + "s"
         )
@@ -180,7 +182,7 @@ class TestCacheBehaviour:
     def test_semi_join_message_when_filtered(self, favorita_tiny):
         eng = MessageEngine(favorita_tiny.graph, VarianceSemiring(track_q=False))
         eng.lift_y()
-        ctx = ctx_with({}, "stores", "`f_store` <= 500")
+        ctx = {"stores": (Pred("f_store", 500, True, True),)}
         m = eng.message("stores", "sales", ctx)
         assert m is not None
         # key-only message: a filter, not an annotated aggregate
@@ -207,7 +209,7 @@ class TestCacheBehaviour:
         dims stay cached (dropped-identity entries are also cached)."""
         eng = MessageEngine(favorita_tiny.graph, VarianceSemiring(track_q=False))
         eng.lift_y()
-        ctx = ctx_with({}, "items", "`f_item` <= 500")
+        ctx = {"items": (Pred("f_item", 500, True, True),)}
         eng.stats.reset()
         eng.aggregate_feature("f_store", {})
         n0 = eng.stats.message_queries

@@ -180,7 +180,7 @@ class TestStrategies:
             _make_updater(favorita_tiny, "set")
 
     def test_single_leaf_tree_constant_shift(self, favorita_tiny):
-        tree = DecisionTree(Node(0, 0, prediction=5.0))
+        tree = DecisionTree(Node(0, prediction=5.0))
         for strategy in ("naive", "create", "swap"):
             upd = _make_updater(favorita_tiny, strategy)
             before = upd.current.agg(F.sum(PREFIX + "s")).collect()[0][0]

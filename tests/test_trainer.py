@@ -16,30 +16,35 @@ from repro.baselines.npgbm import NpTreeTrainer
 PARAMS = TrainParams(max_leaves=5)
 
 
-@pytest.fixture(scope="module")
-def int_trees(star_int):
-    """Train the same tree with all four engines on the integer-y star."""
-    g = star_int.graph
+def four_trees(data, params):
+    """Train the same tree with all four engines on one star."""
+    g = data.graph
     sr = VarianceSemiring(track_q=False)
 
-    fact = FactorizedTreeTrainer(g, sr, PARAMS)
+    fact = FactorizedTreeTrainer(g, sr, params)
     fact.engine.lift_y()
     t_fact = fact.train()
     fact.engine.clear_cache()
 
-    star = StarTreeTrainer(g, PARAMS)
+    star = StarTreeTrainer(g, params)
     star.set_fact(sr.lift(g.relations["fact"].df, "y"))
     t_star = star.train()
 
-    naive = NaiveTreeTrainer(g, PARAMS)
+    naive = NaiveTreeTrainer(g, params)
     t_naive = naive.train()
     naive.close()
 
-    wide = star_int.wide_pandas()
+    wide = data.wide_pandas()
     feats = [f for f, _, _ in g.all_features()]
-    npt = NpTreeTrainer(wide, feats, feats, PARAMS)
+    numeric = [f for f, _, num in g.all_features() if num]
+    npt = NpTreeTrainer(wide, feats, numeric, params)
     t_np = npt.train(wide["y"].to_numpy(dtype="float64"))
     return {"fact": t_fact, "star": t_star, "naive": t_naive, "np": t_np}
+
+
+@pytest.fixture(scope="module")
+def int_trees(star_int):
+    return four_trees(star_int, PARAMS)
 
 
 class TestModelParity:
@@ -57,6 +62,29 @@ class TestModelParity:
         np.testing.assert_array_equal(
             int_trees["fact"].predict_np(wide), int_trees["np"].predict_np(wide)
         )
+
+    def test_reg_lambda_parity(self, star_int):
+        """Every trainer's leaves are ``s/(c+λ)`` (Appendix B)."""
+        trees = four_trees(star_int, TrainParams(max_leaves=5, reg_lambda=2.0))
+        d = trees["naive"].to_dict()
+        assert trees["fact"].to_dict() == trees["star"].to_dict() == d
+        assert trees["np"].to_dict() == d
+
+    def test_categorical_string_parity(self, star_strings):
+        """Quotes and backslashes in categorical split values survive
+        every trainer's predicate path."""
+        trees = four_trees(star_strings, TrainParams(max_leaves=5))
+        d = trees["naive"].to_dict()
+        assert trees["fact"].to_dict() == trees["star"].to_dict() == d
+        assert trees["np"].to_dict() == d
+        values = set()
+        stack = [trees["fact"].root]
+        while stack:
+            n = stack.pop()
+            if not n.is_leaf:
+                values.add(n.split_value)
+                stack += [n.left, n.right]
+        assert {"O'Brien", 'say "hi"', "back\\slash"} <= values
 
 
 class TestFactorizedModes:
@@ -91,6 +119,26 @@ class TestFactorizedModes:
         assert tree.n_leaves() == max_leaves
         n_feats = len(g.all_features())
         assert tr.engine.stats.absorption_queries == 1 + (max_leaves - 1) * n_feats
+
+    @pytest.mark.parametrize(
+        "mode,census", [("joinboost", (15, 72, 21)), ("batch", (18, 70, 21))]
+    )
+    def test_message_census(self, star_int, mode, census):
+        """(message queries, cache hits, absorptions) per mode: batch
+        drops the cache once per split node, the root's total shares it
+        with the root's features, and both children of a split share it."""
+        tr = FactorizedTreeTrainer(
+            star_int.graph, VarianceSemiring(track_q=False),
+            TrainParams(max_leaves=4), mode=mode,
+        )
+        tr.engine.lift_y()
+        tr.engine.stats.reset()
+        tr.train()
+        tr.engine.clear_cache()
+        st = tr.engine.stats
+        assert (
+            st.message_queries, st.message_cache_hits, st.absorption_queries
+        ) == census
 
     def test_unknown_mode(self, star_int):
         with pytest.raises(ValueError, match="unknown mode"):

@@ -16,14 +16,16 @@ def small_tree():
         /    \\
      p=1.0   p=2.0
     """
-    root = Node(0, 0)
+    root = Node(0)
     root.split_feature, root.split_value, root.split_numeric = "f", 5, True
-    mid = Node(1, 1, preds=[Pred("f", 5, True, True)])
+    mid = Node(1, preds=[Pred("f", 5, True, True)])
     mid.split_feature, mid.split_value, mid.split_numeric = "g", "a", False
-    mid.left = Node(3, 2, preds=mid.preds + [Pred("g", "a", False, True)], prediction=1.0)
-    mid.right = Node(4, 2, preds=mid.preds + [Pred("g", "a", False, False)], prediction=2.0)
+    mid.left = Node(2, preds=mid.preds + [Pred("g", "a", False, True)], prediction=1.0)
+    mid.right = Node(
+        2, preds=mid.preds + [Pred("g", "a", False, False)], prediction=2.0
+    )
     root.left = mid
-    root.right = Node(2, 1, preds=[Pred("f", 5, True, False)], prediction=3.0)
+    root.right = Node(1, preds=[Pred("f", 5, True, False)], prediction=3.0)
     return DecisionTree(root)
 
 
@@ -35,18 +37,6 @@ def frame():
 
 
 class TestPred:
-    @pytest.mark.parametrize(
-        "pred,expect",
-        [
-            (Pred("f", 5, True, True), "`f` <= 5"),
-            (Pred("f", 5, True, False), "`f` > 5"),
-            (Pred("g", "a", False, True), "`g` = 'a'"),
-            (Pred("g", "a", False, False), "`g` != 'a'"),
-        ],
-    )
-    def test_sql(self, pred, expect):
-        assert pred.sql() == expect
-
     def test_mask_matches_sql(self, spark, frame):
         df = spark.createDataFrame(frame)
         for pred in [
@@ -55,10 +45,9 @@ class TestPred:
             Pred("g", "a", False, True),
             Pred("g", "a", False, False),
         ]:
-            via_sql = sorted(r["f"] for r in df.filter(pred.sql()).collect())
             via_col = sorted(r["f"] for r in df.filter(pred.col()).collect())
             via_mask = sorted(frame.loc[pred.mask(frame), "f"].tolist())
-            assert via_sql == via_col == via_mask
+            assert via_col == via_mask
 
     def test_partition_property(self, frame):
         """σ and ¬σ partition every frame."""
@@ -109,7 +98,7 @@ class TestPrediction:
         np.testing.assert_allclose(got, small_tree.predict_np(frame))
 
     def test_single_leaf_tree(self, frame):
-        t = DecisionTree(Node(0, 0, prediction=7.0))
+        t = DecisionTree(Node(0, prediction=7.0))
         np.testing.assert_allclose(t.predict_np(frame), 7.0)
 
 
